@@ -14,9 +14,9 @@ f=1``:
   level frontiers of the reach space with caches cleared per pass;
 * ``mdp_sample``  — Markov-chain path sampling under a random
   adversary (steps/sec);
-* ``sim_fleet``   — message-level Monte Carlo instances/sec: a
-  sequential loop vs the asyncio-interleaved fleet (plus the 2-worker
-  pooled path in full mode), with bit-identical records asserted;
+* ``sim_fleet``   — message-level Monte Carlo instances/sec: the
+  in-process fleet loop (plus the 2-worker pooled path in full mode,
+  with bit-identical records asserted);
 * ``sweep``       — tasks/sec over a protocol × valuation × target
   matrix, cold (shared program/system caches cleared per task,
   emulating per-task compilation) vs warm (process-wide
@@ -27,10 +27,8 @@ f=1``:
   second run warm **from disk** with every in-process cache dropped —
   the speedup a fresh process gets from a previous process's work;
 * ``store_backends`` — an incremental-exploration workload (the same
-  keys revisited under growing state budgets) against each store
-  backend (``dir``, ``sqlite``) plus the PR 4 whole-graph-snapshot
-  emulation: bytes written by delta flushes vs snapshot rewrites, and
-  warm-from-storage second-run times per backend.
+  keys revisited under growing state budgets) against the directory
+  snapshot store: cold and warm-from-disk run times and bytes written.
 
 Every run appends one labelled entry to ``BENCH_state_engine.json`` so
 the file accumulates a perf *trajectory* across PRs; regressions show
@@ -239,17 +237,14 @@ def bench_store_sweep(quick: bool) -> dict:
 
 
 def bench_store_backends(quick: bool) -> dict:
-    """Delta-flush bytes + warm-from-storage time, per store backend.
+    """Cold and warm-from-disk runs against the directory snapshot store.
 
-    The workload the delta segments were built for: the same
-    ``(protocol, valuation)`` keys revisited by consecutive tasks under
-    *growing* ``max_states`` budgets, so each task extends the stored
-    graph a little.  Whole-graph snapshot flushes (the PR 4 behaviour,
-    emulated by ``snapshot_mode=True``) rewrite the entire graph at
-    every growth step; delta flushes append only the increment.  Both
-    shipped backends run the matrix twice (cold then warm-from-storage
-    with every in-process cache dropped) and must agree with each
-    other — and with the snapshot emulation — bit for bit.
+    The same ``(protocol, valuation)`` keys are revisited by
+    consecutive tasks under *growing* ``max_states`` budgets, so each
+    task extends the stored graph a little and its flush rewrites the
+    key's snapshot.  The matrix runs twice — cold, then warm from disk
+    with every in-process cache dropped — and both runs must agree bit
+    for bit.
     """
     import shutil
     import tempfile
@@ -280,9 +275,9 @@ def bench_store_backends(quick: bool) -> dict:
         for target in ("validity", "agreement")
     ]
 
-    def run_with_store(spec, snapshot_mode):
+    def run_with_store(directory):
         clear_shared_caches()
-        previous = activate_graph_store(spec, snapshot_mode=snapshot_mode)
+        previous = activate_graph_store(directory)
         t0 = time.perf_counter()
         try:
             results = [run_task(task) for task in tasks]
@@ -297,44 +292,27 @@ def bench_store_backends(quick: bool) -> dict:
             deactivate_graph_store(previous)
         return results, measured
 
-    out = {"tasks": len(tasks)}
-    base = tempfile.mkdtemp(prefix="repro-store-backend-bench-")
-    reference = None
+    base = tempfile.mkdtemp(prefix="repro-store-bench-")
     try:
-        variants = {
-            "dir": (str(Path(base) / "graphs"), False),
-            "sqlite": (f"sqlite:{Path(base) / 'graphs.db'}", False),
-            "snapshot": (str(Path(base) / "snapshots"), True),
-        }
-        for name, (spec, snapshot_mode) in variants.items():
-            first, cold = run_with_store(spec, snapshot_mode)
-            second, warm = run_with_store(spec, snapshot_mode)
-            for results in (first, second):
-                if reference is None:
-                    reference = _stable_results(results)
-                elif _stable_results(results) != reference:
-                    raise AssertionError(
-                        f"store backend {name!r} diverged from reference"
-                    )
-            out[name] = {
-                "cold_seconds": cold["seconds"],
-                "warm_seconds": warm["seconds"],
-                "cold_bytes_written": cold["bytes_written"],
-                "warm_bytes_written": warm["bytes_written"],
-                "warm_load_hits": warm["load_hits"],
-                "warm_speedup": (
-                    cold["seconds"] / warm["seconds"]
-                    if warm["seconds"] else 0.0
-                ),
-            }
+        first, cold = run_with_store(base)
+        second, warm = run_with_store(base)
     finally:
         shutil.rmtree(base, ignore_errors=True)
-    snapshot_bytes = out["snapshot"]["cold_bytes_written"]
-    out["delta_vs_snapshot_cold_bytes"] = (
-        out["dir"]["cold_bytes_written"] / snapshot_bytes
-        if snapshot_bytes else 0.0
-    )
-    return out
+    if _stable_results(first) != _stable_results(second):
+        raise AssertionError("warm-from-disk run diverged from the cold run")
+    return {
+        "tasks": len(tasks),
+        "dir": {
+            "cold_seconds": cold["seconds"],
+            "warm_seconds": warm["seconds"],
+            "cold_bytes_written": cold["bytes_written"],
+            "warm_bytes_written": warm["bytes_written"],
+            "warm_load_hits": warm["load_hits"],
+            "warm_speedup": (
+                cold["seconds"] / warm["seconds"] if warm["seconds"] else 0.0
+            ),
+        },
+    }
 
 
 def bench_frontier_batch(quick: bool) -> dict:
@@ -463,56 +441,27 @@ def bench_frontier_batch(quick: bool) -> dict:
 
 
 def bench_sim_fleet(quick: bool) -> dict:
-    """Monte Carlo fleet throughput: sequential loop vs concurrent fleet.
+    """Monte Carlo fleet throughput, in-process and pooled.
 
-    Drives the same MMR14 seed list twice — a plain one-at-a-time loop
-    over the fleet's run generator (the pre-fleet shape) and the
-    asyncio-interleaved ``run_fleet`` engine — and asserts the two
-    record lists are bit-identical before reporting either rate (the
-    fleet's seed-reproducibility contract).  The full mode also shards
-    the same fleet across two pool workers to measure the multi-core
-    path, pool spawn cost included.
+    Drives one MMR14 seed list through ``run_fleet`` in this process
+    (one plain loop over the seeds).  The full mode also shards the
+    same fleet across two pool workers to measure the multi-core path,
+    pool spawn cost included, and asserts the two record lists are
+    bit-identical (the fleet's seed-reproducibility contract).
     """
-    from repro.sim.fleet import _drive, run_fleet
-    from repro.sim.registry import sim_by_name
+    from repro.sim.fleet import run_fleet
 
     protocol, max_steps = "mmr14", 20_000
     runs = 200 if quick else 1000
-    proto = sim_by_name(protocol)
-
-    def sequential():
-        records = []
-        for seed in range(runs):
-            stepper = _drive(proto, "perfect", "random", seed, max_steps,
-                             True, max_steps + 1)
-            while True:
-                try:
-                    next(stepper)
-                except StopIteration as finished:
-                    records.append(finished.value)
-                    break
-        return records
-
-    t0 = time.perf_counter()
-    sequential_records = sequential()
-    sequential_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     report = run_fleet(protocol, runs=runs, max_steps=max_steps)
     fleet_seconds = time.perf_counter() - t0
-    if report.records != sequential_records:
-        raise AssertionError("fleet records diverge from the sequential loop")
 
     out = {
         "protocol": protocol,
         "runs": runs,
         "completion": report.completion,
-        "sequential": {
-            "seconds": sequential_seconds,
-            "instances_per_sec": (
-                runs / sequential_seconds if sequential_seconds else 0.0
-            ),
-        },
         "fleet": {
             "seconds": fleet_seconds,
             "instances_per_sec": (
@@ -525,9 +474,9 @@ def bench_sim_fleet(quick: bool) -> dict:
         pooled = run_fleet(protocol, runs=runs, max_steps=max_steps,
                            processes=2)
         pooled_seconds = time.perf_counter() - t0
-        if pooled.records != sequential_records:
+        if pooled.records != report.records:
             raise AssertionError("pooled fleet diverges from the "
-                                 "sequential loop")
+                                 "in-process loop")
         out["pooled"] = {
             "processes": 2,
             "seconds": pooled_seconds,

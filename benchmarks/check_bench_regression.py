@@ -112,8 +112,7 @@ def main(argv=None) -> int:
             f", pooled×{pooled['processes']} "
             f"{pooled['instances_per_sec']:.1f}/s" if pooled else ""
         )
-        print(f"  sim_fleet (informational)    sequential "
-              f"{fleet['sequential']['instances_per_sec']:.1f}/s -> fleet "
+        print(f"  sim_fleet (informational)    fleet "
               f"{fleet['fleet']['instances_per_sec']:.1f}/s over "
               f"{fleet['runs']} runs{pooled_note}")
     sweep = fresh.get("sweep")
@@ -128,14 +127,11 @@ def main(argv=None) -> int:
               f"({store['warm_speedup']:.2f}x second-run speedup)")
     backends = fresh.get("store_backends")
     if backends:
-        ratio = backends.get("delta_vs_snapshot_cold_bytes", 0.0)
-        print(f"  store_backends (informational)  delta flushes wrote "
-              f"{backends['dir']['cold_bytes_written']:,} bytes vs "
-              f"{backends['snapshot']['cold_bytes_written']:,} snapshot "
-              f"bytes ({ratio:.2f}x); warm runs "
-              f"dir {backends['dir']['warm_seconds']:.2f}s / "
-              f"sqlite {backends['sqlite']['warm_seconds']:.2f}s / "
-              f"snapshot {backends['snapshot']['warm_seconds']:.2f}s")
+        store = backends["dir"]
+        print(f"  store_backends (informational)  snapshot store cold "
+              f"{store['cold_seconds']:.2f}s -> warm "
+              f"{store['warm_seconds']:.2f}s, "
+              f"{store['cold_bytes_written']:,} bytes written cold")
 
     if failed:
         print("bench regression gate FAILED", file=sys.stderr)

@@ -254,12 +254,12 @@ def sweep(
     shard on one persistent warm worker (compiled program + engine
     caches shared across the shard's valuations) — same report, less
     recompilation; best for protocol × many-valuation matrices.
-    ``graph_store=`` selects the persistent state-graph store: a
-    directory path (per-file layout) or ``sqlite:<path>`` (single-file
-    shared corpus for a whole sweep fleet).  Explored successor graphs
-    are flushed there as delta segments per task and reloaded by later
-    runs (fresh processes included), which speeds the tasks the result
-    cache cannot skip — results stay bit-identical either way.
+    ``graph_store=`` names the directory of the persistent state-graph
+    store.  After each task the explored successor graphs it grew are
+    written there as whole-graph snapshots, one file per graph, and
+    later runs (fresh processes included) reload them, which speeds the
+    tasks the result cache cannot skip — results stay bit-identical
+    either way.
     With a ``cache_dir`` (or explicit ``journal=`` path) every
     completed task is appended to a sweep journal; ``resume=True``
     finishes an interrupted identical sweep by re-running only tasks
@@ -280,7 +280,7 @@ def sweep(
         processes=processes,
         cache_dir=cache_dir,
         scheduling=scheduling,
-        graph_store_dir=graph_store,
+        graph_store=graph_store,
         task_timeout=task_timeout,
         retry=retry,
         journal=journal,

@@ -52,21 +52,17 @@ still input-ordered and bit-identical.
 
 Orthogonally, ``graph_store`` enables the persistent *state-graph*
 store (:class:`~repro.counter.store.GraphStore`): workers (and inline
-runs) warm each task's explored successor graph from storage on
-startup and flush delta segments of what they grew after every task,
-so a fresh process replays a previously-expanded sweep on memoised
-successors.  The spec selects the backend — a directory path for the
-per-file :class:`~repro.counter.store.LocalDirBackend` layout, or
-``sqlite:<path>`` for the single-file shared
-:class:`~repro.counter.store.SQLiteBackend` corpus a whole sweep fleet
-can read and write concurrently.  The result cache skips whole tasks;
+runs) warm each task's explored successor graph from a directory of
+whole-graph snapshots on startup and rewrite the snapshot of every
+graph a task grew, so a fresh process replays a previously-expanded
+sweep on memoised successors.  The result cache skips whole tasks;
 the graph store speeds the tasks that still run — notably tasks whose
 result is *not* cacheable (custom models, ``max_seconds`` trips) or
 not yet cached.
 
 For chaos testing, ``fault_plan`` installs a deterministic
 :class:`~repro.testing.faults.FaultPlan` in every pool worker (never
-in the supervisor): injected kills, hangs, I/O errors and segment
+in the supervisor): injected kills, hangs, I/O errors and entry
 corruption exercise exactly the recovery paths above — see
 ``tests/api/test_sweep_faults.py``.
 """
@@ -92,6 +88,7 @@ from repro.counter.store import (
     activate_graph_store,
     deactivate_graph_store,
     prune_stale_temp_files,
+    store_directory,
     unique_temp_path,
 )
 from repro.counter.system import flush_shared_graphs
@@ -169,8 +166,7 @@ def _init_worker(version: str, graph_store: Optional[str]) -> None:
 
     Workers inherit the parent's source digest instead of re-hashing
     the tree, and — when the sweep persists state graphs — install the
-    process-wide store (``graph_store`` is a backend spec string: a
-    directory or a ``sqlite:`` URI) so
+    process-wide store (``graph_store`` is its directory) so
     :func:`~repro.counter.system.shared_system` warms fresh systems
     from storage.
     """
@@ -376,16 +372,15 @@ class SweepRunner:
             are cacheable (custom models / ad-hoc queries have no
             stable identity) — others always run.  Also the default
             home of the sweep journal (see ``resume``).
-        graph_store: backend spec for the persistent state-graph store
-            (:class:`~repro.counter.store.GraphStore`): a directory
-            path (per-file layout) or ``sqlite:<path>`` (single-file
-            shared corpus); ``None`` disables it.  Workers and inline
-            runs warm each task's explored graph from storage and
-            flush delta segments of what they grow, so a sweep re-run
-            in a fresh process replays on memoised successors —
+        graph_store: directory of the persistent state-graph store
+            (:class:`~repro.counter.store.GraphStore`, one whole-graph
+            snapshot per key); ``None`` disables it.  Workers and
+            inline runs warm each task's explored graph from it and
+            rewrite the snapshots of the graphs they grow, so a sweep
+            re-run in a fresh process replays on memoised successors —
             results-neutral (verdicts and ``states_explored`` stay
-            bit-identical to cold runs).  ``graph_store_dir`` is the
-            historical alias.
+            bit-identical to cold runs).  A ``sqlite:`` spec (the
+            removed single-file backend) raises ``ValueError``.
         scheduling: ``"flat"`` (one task per pool job) or ``"sharded"``
             (one protocol-shard per pool job, executed by a persistent
             warm worker).  Reports are bit-identical across modes
@@ -429,7 +424,6 @@ class SweepRunner:
         cache_version: Optional[str] = None,
         scheduling: str = "flat",
         graph_store: Optional[str] = None,
-        graph_store_dir: Optional[str] = None,
         task_timeout: Optional[float] = None,
         retry=None,
         journal: Optional[str] = None,
@@ -443,10 +437,10 @@ class SweepRunner:
                 f"{self.SCHEDULING_MODES}"
             )
         self.scheduling = scheduling
-        # graph_store is the backend spec (dir path or sqlite: URI);
-        # graph_store_dir is the PR 4 name, kept as an alias.
-        spec = graph_store if graph_store else graph_store_dir
-        self.graph_store = str(spec) if spec else None
+        # Refuse a removed store format here, before any worker starts.
+        self.graph_store = (
+            str(store_directory(graph_store)) if graph_store else None
+        )
         self.cache = (
             ResultCache(Path(cache_dir), version=cache_version)
             if cache_dir
@@ -466,11 +460,6 @@ class SweepRunner:
             )
         self.resume = bool(resume)
         self.fault_plan = fault_plan
-
-    @property
-    def graph_store_dir(self) -> Optional[str]:
-        """Historical alias for :attr:`graph_store` (PR 4 name)."""
-        return self.graph_store
 
     def run(self, tasks: Sequence[VerificationTask]) -> RunReport:
         # Inline tasks (processes=1, unpicklable models, runtime

@@ -152,7 +152,7 @@ class CounterSystem:
         self._options_cache: Dict[Config, Tuple[Action, ...]] = {}
         #: Monotone stamp of destructive cache events (FIFO eviction,
         #: intern generation reset); the graph store keys its
-        #: delta/skip flush bookkeeping on (epoch, lengths).
+        #: skip-if-unchanged flush bookkeeping on (epoch, lengths).
         self._cache_epoch = 0
         #: Lazily-bound frontier batch expander (see :meth:`batch_expander`).
         self._batch_expander = None
@@ -163,11 +163,10 @@ class CounterSystem:
 
         The triple the persistent graph store keys its flush
         bookkeeping on: unchanged lengths at an unchanged epoch mean
-        nothing new to persist, grown lengths at an unchanged epoch
-        delimit exactly the delta to append, and an epoch bump (a
-        destructive cache event — FIFO eviction or intern-table
-        generation reset — may shrink or churn contents without moving
-        the lengths) voids any delta baseline.
+        nothing new to persist, and an epoch bump (a destructive cache
+        event — FIFO eviction or intern-table generation reset — may
+        churn contents without moving the lengths) forces the next
+        flush to write.
         """
         return (
             self._cache_epoch,

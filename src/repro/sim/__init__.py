@@ -6,7 +6,8 @@ voting family (Rabin83, CC85a/b, FMR05, KS16) — over a reliable
 point-to-point network with adversary-controlled delivery, Byzantine
 equivocation and an ε-Good common-coin oracle, including the §II
 adaptive attack that starves MMR14 forever.  :mod:`repro.sim.fleet`
-executes thousands of instances concurrently and
+runs fleets of thousands of instances, sharded over worker processes,
+and
 :mod:`repro.sim.crossval` cross-validates the empirical statistics
 against the checker's exact MDP.
 """

@@ -175,7 +175,7 @@ class FaultPlan:
 
     def corrupt_segment(self, match: str = "", nth: int = 1,
                         times: int = 1) -> "FaultPlan":
-        """Flip a byte of a flushed graph segment (checksum breaks)."""
+        """Flip a byte of a flushed graph entry (checksum breaks)."""
         return self._with(FaultRule("graph_store.flush", "corrupt",
                                     match, nth, times))
 

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro import api
+from repro.counter.program import ProtocolProgram
 from repro.counter.store import GraphStore
 from repro.counter.system import CounterSystem, clear_shared_caches
 from repro.harness.__main__ import main
@@ -164,112 +165,61 @@ class TestServiceFiles:
         assert [p for p in with_service_state.rglob("*") if p.is_file()] == []
 
 
-def _segmented_store(root, segments=3):
-    """A graph key with several delta segments under ``root``."""
-    store = GraphStore(root, version=api.code_version())
-    system = CounterSystem(ks16.model(), {"n": 4, "t": 1, "f": 1})
-    frontier = list(system.initial_configs())
-    seen = set(frontier)
-    for step in range(segments):
-        limit = 40 * (step + 1)
-        while frontier and len(seen) < limit:
-            config = frontier.pop()
-            system.rule_options(config)
-            for group in system.successor_groups(config):
-                for _action, successor in group:
-                    if successor not in seen:
-                        seen.add(successor)
-                        frontier.append(successor)
-        assert store.flush(system)
-    return store
-
-
-class TestCompact:
-    def test_compact_squashes_dir_segments(self, tmp_path, capsys):
-        store = _segmented_store(tmp_path / "graphs")
-        key = store.backend.keys()[0]
-        assert store.backend.stats()[key][0] == 3
-        out = _run(capsys, "cache", "compact", "--dir", str(tmp_path))
-        assert "1 of 1 keys squashed" in out
-        assert "3 -> 1 segments" in out
-        assert store.backend.stats()[key][0] == 1
-
-    def test_compact_of_empty_root_is_fine(self, tmp_path, capsys):
-        out = _run(capsys, "cache", "compact", "--dir", str(tmp_path))
-        assert "0 of 0 keys" in out
-
-
-class TestSQLiteMaintenance:
-    @pytest.fixture
-    def spec(self, tmp_path):
-        return f"sqlite:{tmp_path / 'graphs.db'}"
-
-    def _populate(self, spec, version=None):
-        store = GraphStore(spec, version=version or api.code_version())
+class TestOldSegmentFiles:
+    def test_delta_segment_is_stale_pruned_and_never_loaded(
+        self, tmp_path, capsys
+    ):
+        # A ``<key>~<writer>.graph`` delta segment of the old
+        # multi-segment format, under the *current* code version.
+        store = GraphStore(tmp_path, version=api.code_version())
         system = CounterSystem(ks16.model(), {"n": 4, "t": 1, "f": 1})
         system.successor_groups(next(system.initial_configs()))
         assert store.flush(system)
-        return store
+        entry = store.path_for(system)
+        segment = entry.with_name(f"{entry.stem}~123_000000_abcd.graph")
+        entry.rename(segment)
+        out = _run(capsys, "cache", "info", "--dir", str(tmp_path))
+        assert "graph entries       1" in out
+        assert "1 stale" in out and "[stale]" in out
 
-    def test_info_lists_keys_and_stale(self, spec, capsys):
-        self._populate(spec)
-        self._populate(spec, version="0ld0ld0ld0ld0ld0")
-        out = _run(capsys, "cache", "info", "--dir", spec)
-        assert "graph keys          2" in out
-        assert "1 stale" in out
-        assert "[stale]" in out
-        assert "ks16" in out
+        reader = GraphStore(tmp_path, version=api.code_version())
+        cold = CounterSystem(ks16.model(), {"n": 4, "t": 1, "f": 1},
+                             program=ProtocolProgram(ks16.model()))
+        assert not reader.load_into(cold)
+        assert reader.errors == 0 and not cold._succ_cache
 
-    def test_prune_drops_stale_versions_only(self, spec, capsys):
-        fresh = self._populate(spec)
-        self._populate(spec, version="0ld0ld0ld0ld0ld0")
-        out = _run(capsys, "cache", "prune", "--dir", spec)
-        assert "1 keys" in out
-        assert len(fresh.backend.keys()) == 1
+        out = _run(capsys, "cache", "prune", "--dir", str(tmp_path))
+        assert "removed 1 of 1" in out
+        assert not segment.exists()
 
-    def test_info_on_missing_store_does_not_create_it(self, tmp_path, capsys):
-        # Maintenance is read-only diagnostics: a typo'd path must not
-        # silently materialise an empty database file.
-        path = tmp_path / "nope.db"
-        out = _run(capsys, "cache", "info", "--dir", f"sqlite:{path}")
-        assert "no such store" in out
-        assert not path.exists()
 
-    def test_non_database_file_is_a_diagnostic_not_a_traceback(
-        self, tmp_path, capsys
+class TestRemovedFormats:
+    def test_sqlite_dir_is_refused_and_creates_nothing(
+        self, tmp_path, monkeypatch, capsys
     ):
-        junk = tmp_path / "junk.db"
-        junk.write_text("this is not a database")
-        assert main(["harness", "cache", "info",
-                     "--dir", f"sqlite:{junk}"]) == 1
-        assert "unreadable" in capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        for action in ("info", "prune", "clear"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["harness", "cache", action, "--dir", "sqlite:graphs.db"])
+            assert exit_info.value.code == 2
+            assert "SQLite graph-store backend was removed" in \
+                capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_foreign_database_is_refused_and_left_untouched(
-        self, tmp_path, capsys
+    def test_sqlite_graph_store_is_refused_and_creates_nothing(
+        self, tmp_path, monkeypatch, capsys
     ):
-        # A real SQLite database belonging to some other application
-        # must be refused read-only: no segments table/index creation,
-        # no journal-mode switch.
-        import sqlite3
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["harness", "sweep", "--protocols", "cc85a",
+                  "--graph-store", "sqlite:graphs.db"])
+        assert exit_info.value.code == 2
+        assert "SQLite graph-store backend was removed" in \
+            capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-        foreign = tmp_path / "app.db"
-        conn = sqlite3.connect(foreign)
-        conn.execute("CREATE TABLE users (id INTEGER PRIMARY KEY)")
-        conn.commit()
-        conn.close()
-        before = foreign.read_bytes()
-        for action in ("info", "prune", "compact", "clear"):
-            assert main(["harness", "cache", action,
-                         "--dir", f"sqlite:{foreign}"]) == 1
-            assert "not a graph store" in capsys.readouterr().out
-        assert foreign.read_bytes() == before, "foreign database mutated"
-        assert not (tmp_path / "app.db-wal").exists()
-
-    def test_compact_and_clear(self, spec, capsys):
-        store = _segmented_store(spec)
-        out = _run(capsys, "cache", "compact", "--dir", spec)
-        assert "1 of 1 keys squashed" in out
-        key = store.backend.keys()[0]
-        assert store.backend.stats()[key][0] == 1
-        _run(capsys, "cache", "clear", "--dir", spec)
-        assert store.backend.keys() == []
+    def test_compact_is_not_an_action(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["harness", "cache", "compact", "--dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'compact'" in capsys.readouterr().err

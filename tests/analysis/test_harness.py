@@ -111,3 +111,30 @@ class TestCoinCli:
             main(["harness", "verify", "--help"])
         flat = " ".join(capsys.readouterr().out.split())
         assert "registry name: " + ", ".join(names()) in flat
+
+
+class TestClosedStdout:
+    def test_reader_gone_before_the_first_write_is_not_a_traceback(self):
+        # ``harness verify mmr14 | head -1`` with the reader already
+        # gone: the child's first stdout write hits a closed pipe.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.harness", "verify", "cc85a"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+        assert b"BrokenPipeError" not in proc.stderr
+        assert proc.returncode == 1

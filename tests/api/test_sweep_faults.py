@@ -59,15 +59,12 @@ class TestWorkerKills:
         assert all(r.attempts == 1 for r in report.results
                    if r.protocol != "ks16")
 
-    @pytest.mark.parametrize("store", ["dir", "sqlite"])
-    def test_killed_worker_with_graph_store(self, tmp_path, clean_fast,
-                                            store):
-        spec = (str(tmp_path / "graphs") if store == "dir"
-                else f"sqlite:{tmp_path / 'graphs.db'}")
+    def test_killed_worker_with_graph_store(self, tmp_path, clean_fast):
         plan = FaultPlan(scratch=str(tmp_path)).kill_task("cc85a", nth=1)
         report = api.sweep(protocols=FAST, targets=("validity",),
                            processes=2, task_timeout=TIMEOUT,
-                           graph_store=spec, fault_plan=plan)
+                           graph_store=str(tmp_path / "graphs"),
+                           fault_plan=plan)
         assert stable(report) == stable(clean_fast)
         assert report.worker_restarts >= 1
 

@@ -216,7 +216,7 @@ def _stable(result: api.TaskResult) -> list:
 
 
 class TestWarmStoreFuzzCase:
-    """One fuzz case, cold vs warm-from-store, per backend."""
+    """One fuzz case, cold vs warm-from-store."""
 
     SEED = 7  # a seed whose agreement query is genuinely violated
 
@@ -228,13 +228,7 @@ class TestWarmStoreFuzzCase:
         deactivate_graph_store(previous)
         clear_shared_caches()
 
-    @pytest.fixture(params=["dir", "sqlite"])
-    def backend_spec(self, request, tmp_path):
-        if request.param == "dir":
-            return str(tmp_path / "graphs")
-        return f"sqlite:{tmp_path / 'graphs.db'}"
-
-    def test_cold_vs_warm_reports_identical(self, backend_spec):
+    def test_cold_vs_warm_reports_identical(self, tmp_path):
         model_factory = lambda: random_model(self.SEED)  # noqa: E731
         valuation = small_valuation(model_factory())
         kwargs = dict(valuation=valuation, targets=TARGETS, limits=LIMITS)
@@ -243,7 +237,7 @@ class TestWarmStoreFuzzCase:
         cold = api.verify(model=model_factory(), **kwargs)
 
         clear_shared_caches()
-        previous = activate_graph_store(backend_spec)
+        previous = activate_graph_store(tmp_path / "graphs")
         try:
             api.verify(model=model_factory(), **kwargs)
             from repro.counter.system import flush_shared_graphs

@@ -10,7 +10,10 @@ Two invariants rule everything here:
   never a crash.
 """
 
+import hashlib
+import json
 import os
+import pickle
 import time
 from pathlib import Path
 
@@ -20,15 +23,13 @@ from repro.checker.explicit import ExplicitChecker
 from repro.counter.program import ProtocolProgram, shared_program
 from repro.counter.store import (
     GraphStore,
-    LocalDirBackend,
-    SQLiteBackend,
     activate_graph_store,
     active_graph_store,
-    as_backend,
-    compact_backend,
     deactivate_graph_store,
+    _safe_loads,
     key_version,
     program_digest,
+    store_directory,
     valuation_digest,
 )
 from repro.counter.system import (
@@ -37,8 +38,10 @@ from repro.counter.system import (
     flush_shared_graphs,
     shared_system,
 )
-from repro.protocols import cc85, ks16, naive_voting
+from repro.protocols import cc85, ks16, naive_voting, registry
 from repro.spec.obligations import obligations_for
+from repro.testing import faults
+from repro.testing.faults import FaultPlan
 
 VAL_A = {"n": 4, "t": 1, "f": 1}
 VAL_B = {"n": 5, "t": 1, "f": 1}
@@ -419,14 +422,6 @@ class TestResultNeutrality:
             clear_shared_caches()
 
 
-@pytest.fixture(params=["dir", "sqlite"])
-def backend_spec(request, tmp_path):
-    """One spec per shipped backend; both speak the same entry contract."""
-    if request.param == "dir":
-        return str(tmp_path / "graphs")
-    return f"sqlite:{tmp_path / 'graphs.db'}"
-
-
 def _caches_equal(a, b) -> bool:
     """Structural equality of two systems' succ/option caches."""
     if set(a._succ_cache) != set(b._succ_cache):
@@ -443,330 +438,397 @@ def _fresh_system(model, valuation=VAL_A):
     return CounterSystem(model, valuation, program=ProtocolProgram(model))
 
 
-class TestBackends:
-    """Both backends round-trip, append deltas, and compact identically."""
+class TestSnapshots:
+    """One whole-graph snapshot per key, replaced by every flush."""
 
-    def test_round_trip(self, backend_spec):
-        store = GraphStore(backend_spec, version="v1")
+    def test_round_trip(self, tmp_path):
+        store = GraphStore(tmp_path, version="v1")
         model = ks16.model()
         warm = CounterSystem(model, VAL_A)
         _explore(warm)
         assert store.flush(warm)
         cold = _fresh_system(model)
-        reader = GraphStore(backend_spec, version="v1")
+        reader = GraphStore(tmp_path, version="v1")
         assert reader.load_into(cold)
         assert _caches_equal(warm, cold)
 
-    def test_delta_flush_appends_only_growth(self, backend_spec):
-        store = GraphStore(backend_spec, version="v1")
+    def test_flush_rewrites_the_whole_graph(self, tmp_path):
+        store = GraphStore(tmp_path, version="v1")
         model = ks16.model()
         system = CounterSystem(model, VAL_A)
         _explore(system, limit=40)
         assert store.flush(system)
-        first_bytes = store.bytes_written
         _explore(system, limit=400)
         assert store.flush(system)
-        delta_bytes = store.bytes_written - first_bytes
-        # The second segment holds only the growth — far smaller than
-        # re-serializing the whole (now much larger) graph would be.
-        full_blob = store._serialize(system)
-        assert delta_bytes < len(full_blob)
-        key = store.key_for(system)
-        assert store.backend.stats()[key][0] == 2
-        # Merge-on-load equals the union of both segments.
+        (path,) = GraphStore.entries(tmp_path)
+        assert path == store.path_for(system)
+        assert len(path.read_bytes()) == len(store._serialize(system))
         cold = _fresh_system(model)
-        assert GraphStore(backend_spec, version="v1").load_into(cold)
+        assert GraphStore(tmp_path, version="v1").load_into(cold)
         assert _caches_equal(system, cold)
 
-    def test_load_then_grow_flushes_delta_only(self, backend_spec):
+    def test_load_then_grow_rewrites_the_snapshot(self, tmp_path):
         model = ks16.model()
         seed = CounterSystem(model, VAL_A)
         _explore(seed, limit=40)
-        store = GraphStore(backend_spec, version="v1")
-        assert store.flush(seed)
-        # A fresh process loads the graph, explores further, and only
-        # the growth beyond the loaded baseline is appended.
+        assert GraphStore(tmp_path, version="v1").flush(seed)
+        # A fresh process loads the graph, explores further, and
+        # replaces the snapshot with the grown graph.
         warmed = _fresh_system(model)
-        reader = GraphStore(backend_spec, version="v1")
+        reader = GraphStore(tmp_path, version="v1")
         assert reader.load_into(warmed)
         assert not reader.flush(warmed), "just-loaded graph is unchanged"
         _explore(warmed, limit=400)
         assert reader.flush(warmed)
-        header = GraphStore.describe_blob(
-            reader.backend.read_segments(reader.key_for(warmed))[-1][1]
-        )
-        assert header["segment"] != [0, 0], "expected a delta segment"
+        assert len(GraphStore.entries(tmp_path)) == 1
         cold = _fresh_system(model)
-        assert GraphStore(backend_spec, version="v1").load_into(cold)
+        assert GraphStore(tmp_path, version="v1").load_into(cold)
         assert _caches_equal(warmed, cold)
 
-    def test_reborn_system_never_inherits_a_foreign_baseline(
-        self, backend_spec
-    ):
-        # A new system instance under the same key must never inherit a
-        # baseline measured on someone else's caches (that would drop
-        # entries from the delta).  Its full serialization is either
-        # already covered by storage (skip — nothing to add) or gets
-        # appended whole; in both cases the stored union stays intact.
+    @pytest.mark.parametrize("name", registry.names())
+    def test_round_trip_over_the_registry(self, tmp_path, name):
+        entry = registry.by_name(name)
+        self._assert_round_trip(tmp_path, entry.build_model,
+                                entry.small_valuation)
+
+    @pytest.mark.parametrize("name,coin", [
+        ("cc85a", "failing:1/8"), ("cc85a", "disagreeing:1/8"),
+        ("mmr14", "failing:1/8"), ("mmr14", "disagreeing:1/8"),
+    ])
+    def test_round_trip_under_imperfect_coins(self, tmp_path, name, coin):
+        # Failing coins add Tbot/Cbot branches and disagreeing coins
+        # twin coin-guarded rules; every rebuilt action must still come
+        # from the current rule list.
+        entry = registry.by_name(name)
+        self._assert_round_trip(
+            tmp_path, lambda: entry.build_model(coin=coin),
+            entry.small_valuation)
+
+    @staticmethod
+    def _assert_round_trip(tmp_path, factory, valuation):
+        store = GraphStore(tmp_path, version="v1")
+        warm = CounterSystem(factory(), valuation)
+        _explore(warm, limit=600)
+        assert store.flush(warm)
+        cold = _fresh_system(factory(), valuation)
+        assert GraphStore(tmp_path, version="v1").load_into(cold)
+        assert _caches_equal(warm, cold)
+
+    def test_reborn_system_never_matches_a_foreign_record(self, tmp_path):
+        # A new system instance under the same key, grown to the same
+        # entry counts, must still be written: the skip record belongs
+        # to the system that was flushed, not to the key.
         model = ks16.model()
-        store = GraphStore(backend_spec, version="v1")
+        store = GraphStore(tmp_path, version="v1")
         first = CounterSystem(model, VAL_A)
         _explore(first, limit=200)
         assert store.flush(first)
         reborn = _fresh_system(model)
-        _explore(reborn, limit=40)
-        # The reborn system's 40-entry prefix is a subset of what the
-        # first system persisted: covered, so nothing is appended...
-        assert not store.flush(reborn)
-        key = store.key_for(reborn)
-        assert store.backend.stats()[key][0] == 1
-        # ... but the covered flush established a baseline, so growth
-        # beyond it appends a delta and the union survives.
-        _explore(reborn, limit=500)
+        _explore(reborn, limit=200)
+        assert reborn.cache_state() == first.cache_state()
         assert store.flush(reborn)
         cold = _fresh_system(model)
-        assert GraphStore(backend_spec, version="v1").load_into(cold)
-        assert set(first._succ_cache) <= set(cold._succ_cache)
-        assert set(reborn._succ_cache) <= set(cold._succ_cache)
+        assert GraphStore(tmp_path, version="v1").load_into(cold)
+        assert _caches_equal(reborn, cold)
 
-    def test_compact_squashes_segments_and_preserves_graph(self, backend_spec):
-        store = GraphStore(backend_spec, version="v1")
-        model = ks16.model()
-        system = CounterSystem(model, VAL_A)
-        for limit in (30, 120, 400):
-            _explore(system, limit=limit)
-            store.flush(system)
-        key = store.key_for(system)
-        assert store.backend.stats()[key][0] == 3
-        stats = compact_backend(store.backend)
-        assert stats["compacted"] == 1 and stats["errors"] == 0
-        assert store.backend.stats()[key][0] == 1
-        cold = _fresh_system(model)
-        assert GraphStore(backend_spec, version="v1").load_into(cold)
-        assert _caches_equal(system, cold)
-
-    def test_compact_is_idempotent(self, backend_spec):
-        store = GraphStore(backend_spec, version="v1")
-        system = CounterSystem(ks16.model(), VAL_A)
-        _explore(system, limit=60)
-        store.flush(system)
-        _explore(system, limit=200)
-        store.flush(system)
-        first = compact_backend(store.backend)
-        second = compact_backend(store.backend)
-        assert first["compacted"] == 1
-        assert second["compacted"] == 0, "already-canonical keys are skipped"
-        assert second["segments_before"] == second["segments_after"] == 1
-
-    def test_reactivated_store_does_not_duplicate_full_segments(
-        self, backend_spec
-    ):
+    def test_reactivated_store_keeps_one_snapshot_per_key(self, tmp_path):
         # A warm system meeting a freshly constructed store over a
-        # corpus its previous activation wrote (notebook/driver loop)
-        # must not append one duplicate snapshot per activation.
+        # directory its previous activation wrote (notebook/driver
+        # loop) rewrites the key's one file; nothing accumulates.
         model = ks16.model()
         system = CounterSystem(model, VAL_A)
         _explore(system, limit=200)
-        first = GraphStore(backend_spec, version="v1")
-        assert first.flush(system)
-        key = first.key_for(system)
-        second = GraphStore(backend_spec, version="v1")
-        assert not second.flush(system), "identical body must dedup"
-        assert second.backend.stats()[key][0] == 1
-        # ... and the deduped flush still established a delta baseline.
-        _explore(system, limit=400)
-        assert second.flush(system)
-        header = GraphStore.describe_blob(
-            second.backend.read_segments(key)[-1][1]
-        )
-        assert header["segment"] != [0, 0], "expected a delta segment"
-        cold = _fresh_system(model)
-        assert GraphStore(backend_spec, version="v1").load_into(cold)
-        assert _caches_equal(system, cold)
-        # A key stored as full+delta must dedup too (union coverage,
-        # not just a byte-identical single segment): yet another store
-        # activation over the unchanged warm system appends nothing.
-        segments_now = second.backend.stats()[key][0]
-        third = GraphStore(backend_spec, version="v1")
-        assert not third.flush(system)
-        assert third.backend.stats()[key][0] == segments_now
-        # ... while genuinely new growth still gets appended.
-        _explore(system, limit=700)
-        assert third.flush(system)
-
-    def test_snapshot_mode_rewrites_whole_graph(self, backend_spec):
-        # The PR 4 emulation the benchmark compares against: every
-        # flush serializes from zero and replaces prior segments.
-        store = GraphStore(backend_spec, version="v1", snapshot_mode=True)
-        model = ks16.model()
-        system = CounterSystem(model, VAL_A)
-        _explore(system, limit=40)
-        assert store.flush(system)
-        _explore(system, limit=400)
-        assert store.flush(system)
-        key = store.key_for(system)
-        assert store.backend.stats()[key][0] == 1
-        delta = GraphStore(backend_spec + "-delta"
-                           if not backend_spec.startswith("sqlite:")
-                           else backend_spec + "2", version="v1")
-        other = _fresh_system(model)
-        _explore(other, limit=40)
-        delta.flush(other)
-        _explore(other, limit=400)
-        delta.flush(other)
-        assert delta.bytes_written < store.bytes_written
-        cold = _fresh_system(model)
-        assert GraphStore(backend_spec, version="v1").load_into(cold)
-        assert _caches_equal(system, cold)
-
-
-class TestCorruptSegments:
-    def _segmented(self, tmp_path):
-        store = GraphStore(tmp_path, version="v1")
-        model = ks16.model()
-        system = CounterSystem(model, VAL_A)
-        _explore(system, limit=40)
-        store.flush(system)
-        _explore(system, limit=300)
-        store.flush(system)
-        return model, store
-
-    def test_one_corrupt_segment_poisons_the_key(self, tmp_path):
-        model, store = self._segmented(tmp_path)
-        paths = GraphStore.entries(tmp_path)
-        assert len(paths) == 2
-        raw = bytearray(paths[-1].read_bytes())
-        raw[-5] ^= 0xFF
-        paths[-1].write_bytes(bytes(raw))
-        cold = _fresh_system(model)
-        reader = GraphStore(tmp_path, version="v1")
-        assert not reader.load_into(cold)
-        assert not cold._succ_cache, "poisoned key must be a full cold miss"
-
-    def test_compact_repairs_a_poisoned_key(self, tmp_path):
-        model, store = self._segmented(tmp_path)
-        paths = GraphStore.entries(tmp_path)
-        raw = bytearray(paths[-1].read_bytes())
-        raw[-5] ^= 0xFF
-        paths[-1].write_bytes(bytes(raw))
-        stats = compact_backend(LocalDirBackend(tmp_path))
-        assert stats["corrupt_dropped"] == 1
+        for _activation in range(3):
+            store = GraphStore(tmp_path, version="v1")
+            assert store.flush(system)
+            assert not store.flush(system)
+        assert len(GraphStore.entries(tmp_path)) == 1
         cold = _fresh_system(model)
         assert GraphStore(tmp_path, version="v1").load_into(cold)
-        assert cold._succ_cache, "surviving segment must load after repair"
+        assert _caches_equal(system, cold)
 
-    def test_compact_deletes_fully_corrupt_keys(self, tmp_path):
-        _model, _store = self._segmented(tmp_path)
-        for path in GraphStore.entries(tmp_path):
-            path.write_bytes(b"garbage")
-        stats = compact_backend(LocalDirBackend(tmp_path))
-        assert stats["corrupt_dropped"] == 2
-        assert GraphStore.entries(tmp_path) == []
 
-    def test_compact_repairs_a_single_corrupt_segment(self, tmp_path):
-        # The single-segment fast path must not skip validation: a key
-        # whose ONLY segment is corrupt would otherwise cold-miss
-        # forever while compact reports the store clean.
-        store = GraphStore(tmp_path, version="v1")
-        system = CounterSystem(ks16.model(), VAL_A)
-        _explore(system, limit=60)
-        store.flush(system)
+def _store_run(root):
+    """One fresh-process run: cold caches and a new store."""
+    clear_shared_caches()
+    previous = activate_graph_store(root, version="v1")
+    store = active_graph_store()
+    try:
+        verdicts = _verdicts(ks16.model(), VAL_A)
+        flush_shared_graphs()
+    finally:
+        deactivate_graph_store(previous)
+        clear_shared_caches()
+    return verdicts, store
+
+
+def _split_entry(raw):
+    head, _, body = raw.partition(b"\n")
+    magic, fmt, header_json = head.decode().split(" ", 2)
+    return magic, fmt, json.loads(header_json), body
+
+
+def _join_entry(magic, fmt, header, body):
+    head = f"{magic} {fmt} {json.dumps(header, sort_keys=True)}\n"
+    return head.encode() + body
+
+
+def _edit_header(edit):
+    """Rewrite header fields; the body and its checksum stay valid."""
+    def corrupt(raw):
+        magic, fmt, header, body = _split_entry(raw)
+        edit(header)
+        return _join_entry(magic, fmt, header, body)
+    return corrupt
+
+
+def _edit_payload(edit):
+    """Re-pickle an edited payload under a *valid* checksum."""
+    def corrupt(raw):
+        magic, fmt, header, body = _split_entry(raw)
+        payload = pickle.loads(body)
+        edit(payload)
+        body = pickle.dumps(payload)
+        header["body_sha256"] = hashlib.sha256(body).hexdigest()
+        return _join_entry(magic, fmt, header, body)
+    return corrupt
+
+
+def _edit_first_group(edit):
+    """Replace the first stored successor group with ``edit(group)``."""
+    def apply(payload):
+        succ = list(payload["succ"])
+        index = next(i for i, (_cid, groups) in enumerate(succ) if groups)
+        config_id, groups = succ[index]
+        succ[index] = (config_id, (edit(groups[0]),) + groups[1:])
+        payload["succ"] = tuple(succ)
+    return apply
+
+
+def _ragged_first_config(payload):
+    configs = payload["configs"]
+    payload["configs"] = (configs[0] + (0,),) + configs[1:]
+
+
+#: name -> (corruption, the load error it must be caught by).
+CORRUPTIONS = {
+    "empty": (lambda raw: b"", "truncated"),
+    "no_header_line": (lambda raw: raw.partition(b"\n")[0], "truncated"),
+    "wrong_magic": (lambda raw: raw.replace(b"repro-graph", b"repro-graff", 1),
+                    "unknown graph format"),
+    "future_format": (lambda raw: raw.replace(b"repro-graph 1 ",
+                                              b"repro-graph 2 ", 1),
+                      "unknown graph format"),
+    "header_not_json": (lambda raw: raw.replace(b"{", b"[", 1), "Expecting"),
+    "body_one_byte_short": (lambda raw: raw[:-1], "checksum mismatch"),
+    "trailing_byte": (lambda raw: raw + b"\x00", "checksum mismatch"),
+    "other_code_version": (
+        _edit_header(lambda h: h.update(code_version="v0")),
+        "mismatch on 'code_version'"),
+    "other_valuation": (
+        _edit_header(lambda h: h.update(valuation=[["f", 1], ["n", 5],
+                                                   ["t", 1]])),
+        "mismatch on 'valuation'"),
+    "other_program": (
+        _edit_header(lambda h: h.update(program="0" * 16)),
+        "mismatch on 'program'"),
+    "entry_counts": (
+        _edit_header(lambda h: h.update(configs=h["configs"] + 1)),
+        "entry count mismatch"),
+    "extra_branch": (
+        _edit_payload(_edit_first_group(
+            lambda g: (g[0], g[1], g[2] + g[2][:1]))),
+        "branch count mismatch"),
+    "dangling_successor": (
+        _edit_payload(_edit_first_group(
+            lambda g: (g[0], g[1], (10 ** 6,) * len(g[2])))),
+        "index out of range"),
+    "unknown_rule": (
+        _edit_payload(_edit_first_group(lambda g: (10 ** 6,) + g[1:])),
+        "index out of range"),
+    "ragged_config": (_edit_payload(_ragged_first_config),
+                      "multiple of the block"),
+}
+
+
+class TestCorruptSnapshots:
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_bad_entry_is_a_miss_until_the_next_flush_replaces_it(
+        self, tmp_path, name
+    ):
+        corrupt, reason = CORRUPTIONS[name]
+        model = ks16.model()
+        writer = CounterSystem(model, VAL_A)
+        _explore(writer)
+        assert GraphStore(tmp_path, version="v1").flush(writer)
         (path,) = GraphStore.entries(tmp_path)
-        path.write_bytes(b"repro-graph garbage")
-        stats = compact_backend(LocalDirBackend(tmp_path))
-        assert stats["corrupt_dropped"] == 1
-        assert GraphStore.entries(tmp_path) == []
-        # ... and on the canonical-free SQLite backend too.
-        db = GraphStore(f"sqlite:{tmp_path / 'g.db'}", version="v1")
-        db.backend.append_segment("some-key-xx-v1", b"garbage")
-        stats = compact_backend(db.backend)
-        assert stats["corrupt_dropped"] == 1
-        assert db.backend.keys() == []
+        path.write_bytes(corrupt(path.read_bytes()))
+
+        store = GraphStore(tmp_path, version="v1")
+        system = _fresh_system(model)
+        assert not store.load_into(system)
+        assert store.errors == 1 and store.load_misses == 1
+        assert reason in str(store.last_error)
+        assert not system._succ_cache and not system._options_cache
+
+        _explore(system)
+        assert store.flush(system)
+        reader = _fresh_system(model)
+        assert GraphStore(tmp_path, version="v1").load_into(reader)
+        assert _caches_equal(system, reader)
+
+    def test_corrupt_snapshot_is_a_miss_until_the_next_flush_replaces_it(
+        self, tmp_path
+    ):
+        clear_shared_caches()
+        cold = _verdicts(ks16.model(), VAL_A)
+        _verdicts_first, store = _store_run(tmp_path)
+        assert store.saves == 1
+        (path,) = GraphStore.entries(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[-5] ^= 0xFF
+        path.write_bytes(bytes(raw))
+
+        # The corrupt entry is a cold miss; the run stays cold-identical
+        # and its flush overwrites the bad entry.
+        verdicts, store = _store_run(tmp_path)
+        assert verdicts == cold
+        assert store.load_hits == 0 and store.errors == 1
+        assert store.saves == 1
+
+        # The next run is a hit with the same verdicts and state counts.
+        verdicts, store = _store_run(tmp_path)
+        assert verdicts == cold
+        assert store.load_hits == 1 and store.errors == 0
+        assert store.saves == 0, "an unchanged loaded graph is not rewritten"
+
+    def test_old_delta_segments_are_never_loaded(self, tmp_path):
+        # ``<key>~<writer>.graph`` files of the old multi-segment format
+        # are inert: a load reads only ``<key>.graph``.
+        store = GraphStore(tmp_path, version="v1")
+        model = ks16.model()
+        system = CounterSystem(model, VAL_A)
+        _explore(system)
+        assert store.flush(system)
+        path = store.path_for(system)
+        path.rename(path.with_name(f"{path.stem}~123_000000_abcd.graph"))
+        reader = GraphStore(tmp_path, version="v1")
+        cold = _fresh_system(model)
+        assert not reader.load_into(cold)
+        assert reader.errors == 0 and not cold._succ_cache
 
 
-class TestBackendSpecs:
-    def test_as_backend_resolves_dirs_and_uris(self, tmp_path):
-        local = as_backend(tmp_path / "x")
-        assert isinstance(local, LocalDirBackend)
-        db = as_backend(f"sqlite:{tmp_path / 'g.db'}")
-        assert isinstance(db, SQLiteBackend)
-        assert db.path == str(tmp_path / "g.db")
-        slashed = as_backend(f"sqlite://{tmp_path / 'h.db'}")
-        assert slashed.path == str(tmp_path / "h.db")
+class TestStoreSpec:
+    def test_sqlite_spec_is_refused_and_creates_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import api
 
-    def test_spec_round_trips(self, tmp_path):
-        for spec in (str(tmp_path / "graphs"), f"sqlite:{tmp_path / 'g.db'}"):
-            backend = as_backend(spec)
-            again = as_backend(backend.spec)
-            assert type(again) is type(backend)
-            assert again.spec == backend.spec
+        monkeypatch.chdir(tmp_path)
+        for spec in ("sqlite:graphs.db", f"sqlite:{tmp_path / 'g.db'}"):
+            with pytest.raises(ValueError, match="SQLite .* removed"):
+                GraphStore(spec)
+            with pytest.raises(ValueError, match="SQLite .* removed"):
+                activate_graph_store(spec)
+            with pytest.raises(ValueError, match="SQLite .* removed"):
+                api.SweepRunner(graph_store=spec)
+        assert active_graph_store() is None
+        assert list(tmp_path.iterdir()) == []
 
-    def test_backend_instance_passes_through(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        assert as_backend(backend) is backend
-        store = GraphStore(backend, version="v1")
-        assert store.backend is backend
-        assert store.root == Path(tmp_path)
+    @pytest.mark.parametrize(
+        "spec", ["sqlite:", "sqlite:graphs.db", "sqlite:///tmp/graphs.db"])
+    def test_every_sqlite_spec_names_the_removal(self, spec):
+        with pytest.raises(ValueError, match="SQLite .* removed"):
+            store_directory(spec)
 
-    def test_sqlite_store_has_no_root(self, tmp_path):
-        store = GraphStore(f"sqlite:{tmp_path / 'g.db'}", version="v1")
-        assert store.root is None
+    @pytest.mark.parametrize(
+        "spec", ["graphs", "sqlite", "cache/sqlite:old", Path("graphs")],
+        ids=["plain", "bare-word", "colon-inside", "path-object"])
+    def test_other_specs_are_directories(self, spec):
+        assert store_directory(spec) == Path(spec)
 
+
+class TestSafeUnpickler:
+    @pytest.mark.parametrize("protocol",
+                             range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_plain_payloads_load_and_globals_are_refused(self, protocol):
+        # Protocols 0-3 name classes with GLOBAL, 4+ with STACK_GLOBAL;
+        # the unpickler must refuse both and still load plain data.
+        payload = {"configs": ((1, 0, 2),), "succ": ((0, ((0, 1, (0,)),)),),
+                   "options": ((0, ((0, 1),)),)}
+        assert _safe_loads(pickle.dumps(payload, protocol=protocol)) == payload
+        with pytest.raises(pickle.UnpicklingError, match="refusing"):
+            _safe_loads(pickle.dumps({"configs": Path("x")},
+                                     protocol=protocol))
+
+
+class TestFaultHooks:
+    """The ``graph_store.flush``/``graph_store.load`` chaos hooks take
+    the same best-effort paths a real disk failure would."""
+
+    @pytest.fixture
+    def plan(self, tmp_path):
+        yield FaultPlan(scratch=str(tmp_path / "faults"))
+        faults.install(None)
+
+    def _explored(self, model=None):
+        system = CounterSystem(model or ks16.model(), VAL_A)
+        _explore(system)
+        return system
+
+    def test_injected_flush_error_is_recorded_and_writes_nothing(
+        self, tmp_path, plan
+    ):
+        store = GraphStore(tmp_path / "graphs", version="v1")
+        system = self._explored()
+        faults.install(plan.break_io("graph_store.flush"))
+        assert not store.flush(system)
+        assert store.errors == 1 and store.saves == 0
+        assert isinstance(store.last_error, OSError)
+        assert list((tmp_path / "graphs").iterdir()) == []
+        # The failed flush left no skip record: the next one writes.
+        assert store.flush(system)
+
+    def test_injected_load_error_is_a_miss_and_keeps_the_entry(
+        self, tmp_path, plan
+    ):
+        root = tmp_path / "graphs"
+        assert GraphStore(root, version="v1").flush(self._explored())
+        faults.install(plan.break_io("graph_store.load"))
+        store = GraphStore(root, version="v1")
+        system = _fresh_system(ks16.model())
+        assert not store.load_into(system)
+        assert store.errors == 1 and store.load_misses == 1
+        assert not system._succ_cache
+        assert store.load_into(system), "the entry survives the fault"
+
+    def test_injected_corruption_is_caught_by_the_checksum(
+        self, tmp_path, plan
+    ):
+        root = tmp_path / "graphs"
+        faults.install(plan.corrupt_segment())
+        assert GraphStore(root, version="v1").flush(self._explored())
+        faults.install(None)
+        store = GraphStore(root, version="v1")
+        assert not store.load_into(_fresh_system(ks16.model()))
+        assert "checksum mismatch" in str(store.last_error)
+
+    def test_match_narrows_a_fault_to_one_key(self, tmp_path, plan):
+        store = GraphStore(tmp_path / "graphs", version="v1")
+        ks = self._explored()
+        cc = self._explored(cc85.model_a())
+        faults.install(plan.break_io("graph_store.flush",
+                                     match=store.key_for(ks), times=0))
+        assert not store.flush(ks)
+        assert store.flush(cc)
+        assert GraphStore.entries(tmp_path / "graphs") == [store.path_for(cc)]
+
+
+class TestKeying:
     def test_key_version_parses(self):
         assert key_version("m-aaaa-bbbb-v123") == "v123"
         assert key_version("nonsense") is None
 
-
-class TestSQLiteResilience:
-    def test_locked_database_is_a_recorded_miss_not_a_crash(self, tmp_path):
-        import sqlite3 as sql
-
-        db = tmp_path / "g.db"
-        store = GraphStore(f"sqlite:{db}", version="v1")
-        system = CounterSystem(ks16.model(), VAL_A)
-        _explore(system, limit=40)
-        assert store.flush(system)
-        # A second connection holding the write lock blocks our INSERT
-        # (WAL allows concurrent readers, never concurrent writers);
-        # with the timeout and retries floored, flush must degrade to a
-        # recorded error instead of raising or hanging.
-        store.backend.BUSY_TIMEOUT_MS = 1
-        store.backend.RETRIES = 1
-        store.backend.close()
-        blocker = sql.connect(db, isolation_level=None)
-        blocker.execute("BEGIN IMMEDIATE")
-        try:
-            _explore(system, limit=400)
-            assert not store.flush(system)  # must not raise
-            assert store.errors >= 1
-        finally:
-            blocker.execute("ROLLBACK")
-            blocker.close()
-
-    def test_fresh_readonly_info_of_missing_db(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "missing.db")
-        assert backend.keys() == []
-        assert backend.stats() == {}
-
-    def test_inherited_connection_is_disowned_not_closed(self, tmp_path):
-        # A handle inherited across fork must be parked, never closed:
-        # finalizing it in the child would run sqlite3_close on a WAL
-        # database the parent still writes.  Simulate the child by
-        # faking a pid mismatch.
-        backend = SQLiteBackend(tmp_path / "g.db")
-        backend.keys()
-        conn = backend._conn
-        assert conn is not None
-        backend._conn_pid = (backend._conn_pid or 0) + 1
-        before = len(SQLiteBackend._FORK_GRAVEYARD)
-        backend.close()
-        assert backend._conn is None
-        assert len(SQLiteBackend._FORK_GRAVEYARD) == before + 1
-        assert SQLiteBackend._FORK_GRAVEYARD[-1] is conn
-        conn.execute("SELECT 1")  # parked handle was never closed
-
-
-class TestKeying:
     def test_program_digest_stable_across_instances(self):
         assert program_digest(ProtocolProgram(ks16.model())) == program_digest(
             ProtocolProgram(ks16.model())
@@ -796,26 +858,3 @@ class TestKeying:
                for g in gs for _a, s in g}
             | set(system._options_cache)
         )
-
-
-class TestSQLiteRetryBackoff:
-    def test_delay_grows_exponentially_within_jitter_band(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "g.db")
-        base = backend.RETRY_BASE_DELAY
-        for attempt in range(6):
-            raw = min(backend.RETRY_MAX_DELAY, base * (2 ** attempt))
-            spread = raw * backend.RETRY_JITTER
-            delay = backend._retry_delay(attempt)
-            assert raw - spread <= delay <= raw + spread
-
-    def test_delay_is_capped(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "g.db")
-        cap = backend.RETRY_MAX_DELAY * (1 + backend.RETRY_JITTER)
-        assert backend._retry_delay(50) <= cap
-
-    def test_delays_decorrelate_writers(self, tmp_path):
-        # The whole point of the jitter: two processes that collided on
-        # the write lock must not sleep identically and re-collide.
-        backend = SQLiteBackend(tmp_path / "g.db")
-        samples = {backend._retry_delay(3) for _ in range(16)}
-        assert len(samples) > 1

@@ -9,6 +9,7 @@ registry-wide statistical gate against the checker's MDP lives in
 ``test_checker_agreement.py`` (slow-gated); everything here is tier-1.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -184,6 +185,80 @@ class TestWilsonInterval:
         narrow = wilson_interval(500, 1000)
         wide = wilson_interval(5, 10)
         assert narrow[1] - narrow[0] < wide[1] - wide[0]
+
+
+def _digest(report: FleetReport) -> str:
+    blob = json.dumps(report.to_dict(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: sha256 of ``run_fleet(protocol, coin=coin, runs=40, base_seed=5,
+#: max_steps=4000).to_dict()`` (sorted-key JSON), recorded with the
+#: earlier interleaved asyncio runner.  The per-shard loop must
+#: reproduce every report byte for byte: scheduling the runs
+#: differently may never change what a run does.
+RECORDED_RANDOM = {
+    ("aby22", None): "00bb36a8a6bb2977999c59681e3a0a67c95e28084cecad155ef1dd5b38706110",
+    ("cc85a", None): "577b1d4d39a0ea94096791f4b05f40dc7cfcbde575afe51064bab5220534956c",
+    ("cc85b", None): "b8bc692f245af1a8cccc10acabada790a5ee18ce0a9d232f9530158f337444aa",
+    ("fmr05", None): "a3bbd162718802eaf91c533ba87121d463cb600b621821f55d0c4334018c1e5d",
+    ("ks16", None): "28f1bdac85c51dffd130bde1f9c67a3282ba4e6087e45bea89e8b76cd6be7fcc",
+    ("miller18", None): "f174dfab0681dd74d78592764218e9202e7fa38e304793aab75c602023731e06",
+    ("mmr14", None): "9b8793b202619ff44a5aa2a14d4430e1949e49a820dfc215412bb3d77a3bae63",
+    ("rabin83", None): "cb2b4e4f443d8de617ee8d7ac0265b21fc2c1d33c74123d252a2edbf9c94fbf9",
+    ("cc85a", "biased:1/4"): "dd4e113dba6a56316cf4e2337300eb8130876685de9e62983a7ddc8edd9a54ba",
+    ("cc85a", "failing:1/8"): "3f1a651f6aa48538298ab69900a76a64b5035dc4a4e64dc02e2561787bedc749",
+    ("mmr14", "disagreeing:1/8"): "a25f406e0165ca8f8fda2325cfe51171f7f3fbd33dbdde76cf7430b12720bdf6",
+}
+
+#: The same, under the adaptive scheduler with ``runs=6``.
+RECORDED_ADAPTIVE = {
+    "aby22": "330647284d73ba4f63da49d5d96d38d3216dfa525088e529f892e2f8ee65c945",
+    "miller18": "e5222efeb49c94f2e0d4f5859047ecb583b27a9ec5d2fffe32385236593bc1f5",
+    "mmr14": "7109025a2ba5557fa61794d6d26efb5c2af24d56bd86af47ef53dc5e3e18dc94",
+}
+
+
+class TestRecordedReports:
+    @pytest.mark.parametrize(
+        "protocol,coin", sorted(RECORDED_RANDOM, key=str),
+        ids=lambda value: value or "perfect",
+    )
+    def test_random_scheduler_report_is_byte_identical(self, protocol, coin):
+        report = run_fleet(protocol, coin=coin, runs=40, base_seed=5,
+                           max_steps=4_000)
+        assert _digest(report) == RECORDED_RANDOM[protocol, coin]
+
+    @pytest.mark.parametrize("protocol", sorted(RECORDED_ADAPTIVE))
+    def test_adaptive_scheduler_report_is_byte_identical(self, protocol):
+        report = run_fleet(protocol, scheduler="adaptive", runs=6,
+                           base_seed=5, max_steps=4_000)
+        assert _digest(report) == RECORDED_ADAPTIVE[protocol]
+
+    def test_sharded_report_is_byte_identical(self):
+        report = run_fleet("cc85b", runs=40, base_seed=5, max_steps=4_000,
+                           processes=2)
+        assert _digest(report) == RECORDED_RANDOM["cc85b", None]
+
+
+class TestRunIsolation:
+    def test_a_failing_run_costs_only_its_own_record(self, monkeypatch):
+        from repro.sim import fleet
+
+        clean = small_fleet(runs=8)
+        original = fleet._drive
+
+        def drive(proto, coin, scheduler, seed, *rest):
+            if seed == 3:
+                raise RuntimeError("boom")
+            return original(proto, coin, scheduler, seed, *rest)
+
+        monkeypatch.setattr(fleet, "_drive", drive)
+        report = small_fleet(runs=8)
+        assert report.error_seeds() == [3]
+        assert report.records[3].error == "RuntimeError: boom"
+        assert [r for r in report.records if r.seed != 3] == \
+            [r for r in clean.records if r.seed != 3]
 
 
 class TestSimulateCli:
