@@ -329,12 +329,14 @@ class SupervisedPool:
         jobs: Sequence[Sequence[Tuple[int, Any]]],
         on_result: Optional[Callable[[int, Any, int, bool], None]] = None,
         stop: Optional[Callable[[], bool]] = None,
+        outcome: Optional[PoolOutcome] = None,
     ) -> PoolOutcome:
         """Execute every item of every job; never raises for item failures.
 
         ``on_result(index, result, attempts, timed_out)`` streams each
-        item's *final* outcome as it lands (the journaling hook);
-        :class:`PoolOutcome` aggregates the same data at the end.
+        item's *final* outcome as it lands (the journaling hook); the
+        returned :class:`PoolOutcome` (``outcome`` if given, so a caller
+        can read its counts from ``on_result``) aggregates the same data.
 
         ``stop`` (persistent mode's shutdown hook) is polled between
         supervision passes: once it answers True the run drains every
@@ -344,13 +346,13 @@ class SupervisedPool:
         """
         if self._workers is not None:
             return self._run_loop(self._workers, jobs, on_result, stop,
-                                  persistent=True)
+                                  persistent=True, outcome=outcome)
         workers = [self._spawn()
                    for _ in range(min(self.processes,
                                       sum(1 for job in jobs if job)))]
         try:
             return self._run_loop(workers, jobs, on_result, stop,
-                                  persistent=False)
+                                  persistent=False, outcome=outcome)
         finally:
             self._shutdown(workers)
 
@@ -361,8 +363,9 @@ class SupervisedPool:
         on_result: Optional[Callable[[int, Any, int, bool], None]],
         stop: Optional[Callable[[], bool]],
         persistent: bool,
+        outcome: Optional[PoolOutcome] = None,
     ) -> PoolOutcome:
-        outcome = PoolOutcome()
+        outcome = outcome if outcome is not None else PoolOutcome()
         pending: deque = deque(_Job(list(job)) for job in jobs if job)
         delayed: List[_Job] = []
         remaining = sum(len(job.items) for job in pending)

@@ -21,36 +21,18 @@ queries exactly on it:
   relaxed at most once (the quadratic re-scan fixed point it replaced
   visited all edges per round).
 
-Engine notes: states are flat interned :class:`~repro.counter.config.
-Config` tuples; successors come from the memoised
-:meth:`~repro.counter.system.CounterSystem.successor_groups` cache,
-which is **shared across every query** checked on one
-:class:`ExplicitChecker` — in :meth:`check_obligations` the reach
-queries, game queries and fairness side conditions all walk the same
-explored graph instead of re-expanding it per query.  The bound system
-itself comes from :func:`~repro.counter.system.shared_system`, so the
-sharing extends *across checkers*: the compiled
-:class:`~repro.counter.program.ProtocolProgram` is built once per model
-structure per process, and successive checkers at the same valuation
-(obligation targets of one task, tasks of one sweep shard) inherit the
-warm explored graph.  With an active persistent graph store
-(:func:`repro.counter.store.activate_graph_store` — the sweep runner
-installs one in every worker when asked) the sharing crosses
-*processes* too: a cold system loads the successor graph a previous
-process flushed, and :meth:`check_obligations` flushes what this
-bundle explored.  Query events are compiled once per check into
-index-based closures (:meth:`repro.spec.propositions.Prop.compile`), so
-the per-successor mask update does no name→index resolution.
-
-Frontier-batched expansion: with ``expansion="batch"`` (the default
-when numpy is importable; ``REPRO_ENGINE_BATCH=0`` or
-``expansion="scalar"`` opts out) the reach BFS and the game-graph
-seeding drain their worklists a frontier at a time through
-:class:`repro.counter.batch.BatchExpander`, which pre-fills the shared
-successor cache with one vectorized numpy pass per frontier.  The
-scalar path remains both the fallback and the consumer — cached groups
-are bit-identical, so verdicts and ``states_explored`` do not depend on
-the expansion engine.
+Engine notes: every query and the side conditions of one checker walk
+one :class:`~repro.counter.system.CounterSystem` from
+:func:`~repro.counter.system.shared_system`, so later checkers at the
+same valuation (the targets of one task, the tasks of one sweep shard)
+inherit its warm successor cache and memoized side-condition pass; an
+active graph store (:mod:`repro.counter.store`) carries the cache
+across processes.  With ``expansion="batch"`` (the default when numpy
+is importable; ``REPRO_ENGINE_BATCH=0`` or ``expansion="scalar"`` opts
+out) the reach BFS and the game-graph seeding pre-fill that cache a
+frontier at a time through :class:`repro.counter.batch.BatchExpander`.
+Cached groups are bit-identical either way, so verdicts and
+``states_explored`` never depend on the expansion engine.
 
 The explicit checker is the ground truth the parameterized (schema)
 checker is cross-validated against in the test suite.
@@ -105,20 +87,12 @@ class ExplicitChecker(TimeBudgeted):
         max_seconds: Optional[float] = None,
         expansion: Optional[str] = None,
     ):
-        self.original_model = model
         self.model = model.single_round() if _needs_single_round(model) else model
         self.valuation = dict(valuation)
-        # shared_system: checkers for the same protocol structure and
-        # valuation (successive obligation targets, successive sweep
-        # tasks in one persistent worker) reuse one bound system and
-        # its warm successor caches — results-neutral, see its doc.
+        # Shared with later checkers at this valuation (module doc).
         self.system = shared_system(self.model, valuation)
         self.max_states = max_states
-        # expansion: "batch" drains BFS/game frontiers through the
-        # vectorized expander of repro.counter.batch (the default when
-        # numpy is importable and REPRO_ENGINE_BATCH != 0), "scalar"
-        # keeps the per-config path.  Results are bit-identical either
-        # way — the batch engine only pre-fills the successor cache.
+        # "batch" or "scalar"; results are identical (module doc).
         self.expansion = resolve_expansion(expansion)
         # max_seconds: wall-clock budget per query — or per obligation
         # *bundle* when the queries run under check_obligations, which
@@ -204,12 +178,7 @@ class ExplicitChecker(TimeBudgeted):
             parent = queue.popleft()
             config, mask = parent
             if expander is not None:
-                # Frontier-batched expansion: a cache miss on the popped
-                # config vectorizes one numpy pass over every uncached
-                # config currently queued; the consumption below then
-                # runs on cache hits.  Results-neutral (the expander
-                # fills _succ_cache with the scalar path's exact group
-                # tuples), so order/verdicts/states stay bit-identical.
+                # A miss expands every queued config in one numpy pass.
                 expander.ensure(config, (c for c, _m in queue))
             for group in successor_groups(config):
                 for action, succ in group:
@@ -305,13 +274,8 @@ class ExplicitChecker(TimeBudgeted):
             if mask == full:
                 continue  # terminal for the game: adversary already won
             if expander is not None:
-                # Same frontier-at-a-time draining as the reach BFS:
-                # the game-graph seeding expands everything pending on
-                # the stack in one vectorized pass (full-mask states
-                # are terminal and never expanded, matching scalar).
-                expander.ensure(
-                    config, (c for c, m in stack if m != full)
-                )
+                # As in the reach BFS; full-mask states are terminal.
+                expander.ensure(config, (c for c, m in stack if m != full))
             moves: List[List[Tuple[Action, State]]] = []
             for group in successor_groups(config):
                 branch_states: List[Tuple[Action, State]] = []
@@ -424,13 +388,12 @@ class ExplicitChecker(TimeBudgeted):
         raise CheckError(f"unsupported query type {type(query).__name__}")
 
     def side_condition(self, name: str) -> bool:
-        """Theorem 2 side conditions on the single-round system.
+        """One Theorem 2 side condition on the single-round system.
 
-        Honours ``max_seconds`` like the queries do (one budget of its
-        own standalone, the shared deadline inside a bundle), raising
-        :class:`~repro.errors.DeadlineExceeded` on expiry and
-        :class:`~repro.errors.StateBudgetExceeded` when ``max_states``
-        overflows (an incomplete search must not report ``True``).
+        Honours ``max_seconds`` like the queries do, and raises
+        :class:`~repro.errors.DeadlineExceeded` or
+        :class:`~repro.errors.StateBudgetExceeded` when a budget cuts
+        the search (an incomplete search must not report ``True``).
         """
         deadline = self.query_deadline(time.perf_counter())
         if name == "non_blocking":
@@ -444,20 +407,19 @@ class ExplicitChecker(TimeBudgeted):
         raise CheckError(f"unknown side condition {name!r}")
 
     def check_obligations(self, obligations: ObligationSet) -> ObligationReport:
-        """Check every obligation, sharing one explored graph.
+        """Check every obligation on one shared explored graph.
 
-        All queries (and the side conditions) run on the same
-        :class:`CounterSystem`, whose successor cache persists across
-        them — after the first query expands a configuration, every
-        later query resolves its successors with a single dict hit.
+        The queries share the system's successor cache.  The two side
+        conditions come from one memoized pass over the system's
+        progress graph (:func:`repro.counter.fairness.
+        side_condition_pass`): the first target bound to a system runs
+        it, and later targets on the same system reuse it.
 
-        The ``max_seconds`` budget covers the whole bundle: one shared
-        deadline spans every query *and* the side conditions.  A side
-        condition cut off by a budget (the deadline, before or
-        mid-exploration, or the ``max_states`` cap) is reported in
-        ``skipped_side_conditions`` with the limit that cut it —
-        distinguishable from a genuine failure — and the aggregate
-        verdict degrades to ``unknown``.
+        One ``max_seconds`` deadline spans every query and the side
+        conditions.  A side condition cut off by a budget (the deadline
+        or ``max_states``) is reported in ``skipped_side_conditions``
+        with the limit that cut it — distinguishable from a genuine
+        failure — and the aggregate verdict degrades to ``unknown``.
         """
         start = time.perf_counter()
         results = []
@@ -478,11 +440,8 @@ class ExplicitChecker(TimeBudgeted):
                     skipped[name] = "max_seconds"
                 except StateBudgetExceeded:
                     skipped[name] = "max_states"
-        # Persist what this bundle explored: with an active graph
-        # store (sweep workers, `verify` under a store) the warm
-        # successor graph survives this process and a later run warms
-        # itself from disk instead of re-expanding.  Best-effort and
-        # skip-if-unchanged inside the store; a no-op otherwise.
+        # Persist what this bundle explored for later processes
+        # (best-effort, skip-if-unchanged; a no-op without a store).
         store = active_graph_store()
         if store is not None:
             store.flush(self.system)

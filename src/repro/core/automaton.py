@@ -435,18 +435,6 @@ class ThresholdAutomaton:
         self.check_canonical()
 
     # ------------------------------------------------------------------
-    def replace_rules(self, rules: Sequence[Rule], name: Optional[str] = None,
-                      locations: Optional[Sequence[Location]] = None) -> "ThresholdAutomaton":
-        """A copy of this automaton with different rules (and locations)."""
-        return ThresholdAutomaton(
-            name or self.name,
-            locations if locations is not None else self.locations,
-            self.shared_vars,
-            self.coin_vars,
-            rules,
-            role=self.role,
-        )
-
     def size(self) -> Tuple[int, int]:
         """``(|L|, |R|)`` — the size columns of the paper's Table II."""
         return len(self.locations), len(self.rules)

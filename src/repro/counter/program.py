@@ -253,7 +253,7 @@ class ProtocolProgram:
         )
         #: Locations where an automaton may rest forever without
         #: violating fairness (border copies and final locations) —
-        #: consumed by :func:`repro.counter.fairness.is_non_blocking`.
+        #: consumed by :func:`repro.counter.fairness.side_condition_pass`.
         self.resting_locations = frozenset(
             index
             for index, loc in enumerate(self.locations)

@@ -61,7 +61,7 @@ from disk — preserves bit-identical verdicts and ``states_explored``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.guards import Cmp
 from repro.core.locations import Location
@@ -156,6 +156,10 @@ class CounterSystem:
         self._cache_epoch = 0
         #: Lazily-bound frontier batch expander (see :meth:`batch_expander`).
         self._batch_expander = None
+        #: Memo of the decided Theorem 2 side-condition pass (see
+        #: :func:`repro.counter.fairness.side_condition_pass`); it
+        #: depends only on the semantics, so no cache event drops it.
+        self.side_pass = None
         self._intern_table.register(self)
 
     def cache_state(self) -> Tuple[int, int, int]:
@@ -520,9 +524,6 @@ class CounterSystem:
 
     def value_of(self, config: Config, variable: str, round_no: int = 0) -> int:
         return config.variable(round_no, self.var_index[variable])
-
-    def locations_named(self, names: Sequence[str]) -> Tuple[int, ...]:
-        return tuple(self.loc_index[name] for name in names)
 
 
 # ----------------------------------------------------------------------

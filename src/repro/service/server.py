@@ -60,7 +60,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.report import TaskResult
-from repro.api.supervisor import RetryPolicy, SupervisedPool
+from repro.api.supervisor import PoolOutcome, RetryPolicy, SupervisedPool
 from repro.api.sweep import (
     ResultCache,
     SweepRunner,
@@ -433,19 +433,28 @@ class VerificationService:
                 assignments[job_id] = (key, task)
                 jobs.append([(job_id, task)])
 
+            outcome = PoolOutcome()
+            restarts_before = self._stats["worker_restarts"]
+
+            def count_restarts():
+                # Runs before a result reaches its client, so /v1/status
+                # never lags a result that needed a restart.
+                with self._stats_lock:
+                    self._stats["worker_restarts"] = (
+                        restarts_before + outcome.worker_restarts)
+
             def on_result(job_id, result, attempts, timed_out,
                           assignments=assignments):
+                count_restarts()
                 key, task = assignments[job_id]
                 self._complete(
                     key, task,
                     SweepRunner._decorate(result, attempts, timed_out),
                 )
 
-            outcome = self._pool.run(
-                jobs, on_result=on_result, stop=self._stopping.is_set
-            )
-            with self._stats_lock:
-                self._stats["worker_restarts"] += outcome.worker_restarts
+            self._pool.run(jobs, on_result=on_result,
+                           stop=self._stopping.is_set, outcome=outcome)
+            count_restarts()
 
     def _complete(self, key: str, task: VerificationTask,
                   result: TaskResult) -> None:

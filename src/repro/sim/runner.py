@@ -118,12 +118,6 @@ class Simulation:
             for p in self.correct.values()
         )
 
-    def max_decision_round(self) -> Optional[int]:
-        rounds = [
-            p.decided_round for p in self.correct.values() if p.decided_round is not None
-        ]
-        return max(rounds) if rounds else None
-
 
 @dataclass
 class SimResult:

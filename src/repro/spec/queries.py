@@ -56,8 +56,3 @@ class GameQuery:
 
     def __str__(self) -> str:
         return f"{self.name}: {self.formula}"
-
-
-def implication_formula(premise: str, conclusion: str) -> str:
-    """Pretty ``A premise → conclusion`` string in the paper's style."""
-    return f"A {premise} → {conclusion}"

@@ -138,3 +138,49 @@ class TestClosedStdout:
         assert b"Traceback" not in proc.stderr, proc.stderr.decode()
         assert b"BrokenPipeError" not in proc.stderr
         assert proc.returncode == 1
+
+
+def _harness(*args):
+    """Run ``python -m repro.harness <args>`` in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro.harness", *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+class TestVerifyExitCodes:
+    """``harness verify`` exit codes: 0 for any verdict, 1 for an error,
+    2 for a usage error."""
+
+    @pytest.mark.parametrize("args,verdict", [
+        (("cc85a",), "holds"),
+        (("cc85a", "--target", "agreement", "--coin", "disagreeing:1/8"),
+         "violated"),
+        (("mmr14", "--max-states", "50"), "unknown"),
+    ])
+    def test_every_verdict_exits_zero(self, args, verdict):
+        import json as _json
+
+        proc = _harness("verify", *args, "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert _json.loads(proc.stdout)["verdict"] == verdict
+
+    @pytest.mark.parametrize("args", [
+        ("nosuch",),
+        ("cc85a", "--valuation", "n=2,t=1,f=1"),
+    ])
+    def test_errors_exit_one(self, args):
+        assert _harness("verify", *args).returncode == 1
+
+    def test_unknown_flag_is_a_usage_error(self):
+        proc = _harness("verify", "cc85a", "--no-such-flag")
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr

@@ -1,6 +1,9 @@
 """Engine adapters: golden equivalence, limits, and custom queries."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,6 +99,66 @@ class TestExplicitEngine:
     def test_custom_model_needs_valuation(self):
         with pytest.raises(CheckError):
             api.verify(model=cc85.model_a(), target="validity")
+
+
+def _timeless(data):
+    """``TaskResult.to_dict()`` without its wall-clock fields."""
+    if isinstance(data, dict):
+        return {k: _timeless(v) for k, v in data.items() if k != "time_seconds"}
+    if isinstance(data, list):
+        return [_timeless(v) for v in data]
+    return data
+
+
+def _fresh_process_verify(protocol: str, max_states: int) -> dict:
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import json, sys\n"
+        "from repro import api\n"
+        f"result = api.verify({protocol!r}, "
+        f"limits=api.Limits(max_states={max_states}))\n"
+        "json.dump(result.to_dict(), sys.stdout)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+class TestProcessHistory:
+    """The memoized side-condition pass never leaks across budgets."""
+
+    # 3000 cuts cc85b's side-condition pass (its agreement system has
+    # ~7k progress configs); 8000 lets it decide.
+    @pytest.mark.parametrize("low", [3000, 8000])
+    def test_low_budget_after_a_decided_run_matches_a_fresh_process(self, low):
+        decided = api.verify("cc85b")
+        assert all(not o.skipped_side_conditions for o in decided.obligations)
+        here = api.verify("cc85b", limits=api.Limits(max_states=low))
+        fresh = _fresh_process_verify("cc85b", low)
+        assert _timeless(here.to_dict()) == _timeless(fresh)
+        skipped = [o.skipped_side_conditions for o in here.obligations]
+        assert any(skipped) == (low == 3000)
+
+    def test_a_pass_cut_by_the_clock_is_not_reused(self):
+        # mmr14 validity: its queries see a few hundred states, but the
+        # side-condition pass walks tens of thousands, so a 0.1 s
+        # deadline cuts it (or skips it outright on a slow machine).
+        cut = api.verify("mmr14", target="validity",
+                         limits=api.Limits(max_seconds=0.1))
+        assert cut.outcome("validity").skipped_side_conditions == {
+            "non_blocking": "max_seconds",
+            "fair_termination": "max_seconds",
+        }
+        rerun = api.verify("mmr14", target="validity")
+        outcome = rerun.outcome("validity")
+        assert outcome.skipped_side_conditions == {}
+        assert outcome.side_conditions == {
+            "non_blocking": True,
+            "fair_termination": True,
+        }
 
 
 class TestParameterizedEngine:
